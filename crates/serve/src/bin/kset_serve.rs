@@ -93,8 +93,8 @@ fn main() -> ExitCode {
         };
         match wire::serve_connection(&server, &client, reader, stream) {
             Ok(stats) => eprintln!(
-                "kset-serve: {peer} done (proposed={} flushed={})",
-                stats.proposed, stats.flushed
+                "kset-serve: {peer} done (proposed={} flushed={} orphaned={})",
+                stats.proposed, stats.flushed, stats.orphaned
             ),
             Err(err) => eprintln!("kset-serve: {peer} errored: {err}"),
         }

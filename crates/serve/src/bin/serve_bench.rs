@@ -8,14 +8,19 @@
 //!
 //! Latency here is submit-to-decide under saturation: with the bounded
 //! proposal queues full, it is dominated by queueing, which is exactly
-//! what a service-level benchmark should show. Every decision is checked
-//! (`terminated`, non-empty decision map) before it is counted.
+//! what a service-level benchmark should show.
+//!
+//! The run fails closed: every decision must answer an id that was
+//! proposed and not yet answered, carry the inputs proposed for that id,
+//! and pass `ProblemSpec::check` against SC(t+1, t, RV1) (termination
+//! included). Any failure, or any id left unanswered, exits non-zero.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use kset_core::json::Json;
-use kset_serve::{ServeConfig, Server, Workload};
+use kset_core::{ProblemSpec, ValidityCondition};
+use kset_serve::{Decision, ServeConfig, Server, Workload};
 
 struct BenchRow {
     threads: usize,
@@ -59,7 +64,29 @@ fn percentile(sorted: &[u64], pct: u64) -> u64 {
     sorted[idx as usize]
 }
 
+/// Checks one decision of a run that proposed ids `0..answered.len()`
+/// with [`inputs_for`], marking its id answered.
+fn verify(decision: &Decision, spec: &ProblemSpec, answered: &mut [bool]) -> Result<(), String> {
+    let id = decision.id;
+    match answered.get_mut(id as usize) {
+        None => return Err(format!("decision for unproposed instance {id}")),
+        Some(true) => return Err(format!("instance {id} answered twice")),
+        Some(seen) => *seen = true,
+    }
+    if decision.record.inputs() != inputs_for(id, spec.n()).as_slice() {
+        return Err(format!("instance {id} answered with other inputs"));
+    }
+    let report = spec.check(&decision.record);
+    if !report.is_ok() {
+        return Err(format!("instance {id} violates {spec}: {report}"));
+    }
+    Ok(())
+}
+
 fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
+    let workload = config.workload;
+    let spec = ProblemSpec::new(workload.n, workload.t + 1, workload.t, ValidityCondition::RV1)
+        .map_err(|e| e.to_string())?;
     let server = Server::start(config);
     let client = server.client();
     let n = config.workload.n;
@@ -76,17 +103,13 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
     });
 
     let mut latencies_us: Vec<u64> = Vec::with_capacity(instances as usize);
+    let mut answered = vec![false; instances as usize];
     let mut events_total: u64 = 0;
     for drained in 0..instances {
         let decision = server
             .recv_decision()
             .ok_or_else(|| format!("workers exited after {drained} decisions"))?;
-        if !decision.record.terminated() {
-            return Err(format!("instance {} did not terminate", decision.id));
-        }
-        if decision.record.decisions().is_empty() {
-            return Err(format!("instance {} decided nothing", decision.id));
-        }
+        verify(&decision, &spec, &mut answered)?;
         events_total += decision.events;
         latencies_us.push(decision.latency.as_micros() as u64);
         if (drained + 1) % 250_000 == 0 {
@@ -120,6 +143,23 @@ fn run_one(config: ServeConfig, instances: u64) -> Result<BenchRow, String> {
     })
 }
 
+/// What the host's CPU count means for the rows: besides the workers, the
+/// proposer thread and the draining main thread are busy throughout.
+fn host_note(cpus: usize) -> String {
+    if cpus <= 1 {
+        "Recorded on a single-CPU host: every thread time-slices one CPU, so \
+         threads=2 measures multiplexing overhead, not speedup."
+            .to_string()
+    } else {
+        format!(
+            "Recorded on a {cpus}-CPU host. Besides the workers, the proposer thread and the \
+             draining main thread are busy, so rows with threads above {} time-slice the \
+             CPUs and understate sharded scaling.",
+            cpus.saturating_sub(2).max(1)
+        )
+    }
+}
+
 fn write_report(
     path: &str,
     workload: &Workload,
@@ -149,8 +189,9 @@ fn write_report(
             "description",
             "Closed-loop load test of kset-serve: a proposer thread \
              submits failure-free FloodMin instances as fast as backpressure allows while \
-             the main thread drains and verifies every decision (terminated, non-empty \
-             decision map). decisions_per_s is end-to-end service throughput; latencies \
+             the main thread drains and verifies every decision (exactly one answer per \
+             id, the proposed inputs, and ProblemSpec::check against SC(t+1, t, RV1)); \
+             any failure fails the run. decisions_per_s is end-to-end service throughput; latencies \
              are submit-to-decide under saturation, so they are dominated by time spent \
              in the bounded per-worker queues (queue_depth entries deep) — divide wall_s \
              by instances for the per-instance service time instead. Recorded from \
@@ -158,13 +199,7 @@ fn write_report(
                 .into(),
         ),
         ("host_logical_cpus", cpus.into()),
-        (
-            "host_note",
-            "Recorded on a single-core container: thread counts above 1 \
-             time-slice one CPU, so threads=2 measures multiplexing overhead, not speedup. \
-             Re-record on a multi-core host to see sharded scaling."
-                .into(),
-        ),
+        ("host_note", host_note(cpus).into()),
         (
             "workload",
             Json::object([

@@ -5,7 +5,7 @@ use std::time::{Duration, Instant};
 use kset_core::RunRecord;
 use kset_net::{MpSession, MpSystem};
 use kset_protocols::FloodMin;
-use kset_sim::{Poll, SimError};
+use kset_sim::{Poll, RandomScheduler, SimError};
 
 /// Shape of the consensus runs the service executes.
 ///
@@ -62,9 +62,12 @@ pub struct Decision {
 ///
 /// Workers advance instances in bounded *waves* via [`step_wave`] so that
 /// thousands of instances can share one thread without any of them
-/// monopolising it.
+/// monopolising it. Once decided, an instance is re-seated on the next
+/// proposal with [`restart`], which reuses the session's buffers instead
+/// of building a new one.
 ///
 /// [`step_wave`]: Instance::step_wave
+/// [`restart`]: Instance::restart
 #[derive(Debug)]
 pub struct Instance {
     id: u64,
@@ -99,6 +102,38 @@ impl Instance {
         }
     }
 
+    /// Re-seats this instance on `propose`, in place: the session restarts
+    /// under the proposal's seed with fresh processes (see
+    /// [`kset_sim::Session::restart`]) and replays exactly as an instance
+    /// built by [`Instance::new`] would. `workload` must be the one the
+    /// instance was built with.
+    ///
+    /// Fails with [`SimError::InvalidConfig`] if the input arity or
+    /// `workload.n` does not match the session; the proposal is handed
+    /// back, and the instance keeps its previous run.
+    pub fn restart(
+        &mut self,
+        propose: Propose,
+        workload: &Workload,
+    ) -> Result<(), (SimError, Propose)> {
+        let n = self.session.n();
+        if workload.n != n || propose.inputs.len() != n {
+            let err = SimError::InvalidConfig(format!(
+                "expected {n} processes, got {}",
+                propose.inputs.len()
+            ));
+            return Err((err, propose));
+        }
+        let Propose { id, inputs, submitted } = propose;
+        self.session.restart(RandomScheduler::from_seed(workload.seed ^ id), |p| {
+            FloodMin::boxed(n, workload.t, inputs[p])
+        });
+        self.id = id;
+        self.inputs = inputs;
+        self.submitted = submitted;
+        Ok(())
+    }
+
     /// Instance id.
     pub fn id(&self) -> u64 {
         self.id
@@ -117,16 +152,34 @@ impl Instance {
         Ok(false)
     }
 
-    /// Consumes the finished session into a [`Decision`].
-    pub fn finish(self) -> Decision {
-        let Instance { id, inputs, submitted, session } = self;
-        let events = session.stats().events_fired;
-        let (outcome, ()) = session.finish();
-        let record = RunRecord::new(inputs)
-            .with_faulty(outcome.faulty.iter().copied())
-            .with_decisions(outcome.decisions.iter().map(|(&p, &v)| (p, v)))
-            .with_terminated(outcome.terminated);
-        Decision { id, record, events, latency: submitted.elapsed() }
+    /// Reads the finished run into a [`Decision`], straight from the
+    /// session's dense decision table, and leaves the instance ready for
+    /// [`Instance::restart`]. The inputs move into the record, so the
+    /// instance holds none until it is restarted.
+    pub fn take_decision(&mut self) -> Decision {
+        let session = &self.session;
+        let record = RunRecord::new(std::mem::take(&mut self.inputs))
+            .with_faulty(session.plan().faulty_set())
+            .with_decisions(
+                session
+                    .decisions()
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, d)| d.map(|v| (p, v))),
+            )
+            .with_terminated(session.decided());
+        Decision {
+            id: self.id,
+            record,
+            events: session.stats().events_fired,
+            latency: self.submitted.elapsed(),
+        }
+    }
+
+    /// Consumes the finished instance into its [`Decision`]
+    /// ([`Instance::take_decision`] without the reuse).
+    pub fn finish(mut self) -> Decision {
+        self.take_decision()
     }
 
     /// Turns a proposal that could not even start (bad arity reaching a

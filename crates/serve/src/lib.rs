@@ -17,7 +17,9 @@
 //!   live instances and advances every one of them by a bounded *wave* of
 //!   events per scheduling round, so a slow instance cannot starve its
 //!   neighbours and memory stays proportional to the live set, not the
-//!   total workload.
+//!   total workload. A decided instance is re-seated on the next proposal
+//!   ([`Instance::restart`]) rather than rebuilt, so a worker builds at
+//!   most `max_live` sessions over its lifetime.
 //! * [`ServeClient`] is the cloneable submission handle: [`propose`] hands
 //!   a vector of inputs (one per process) to a worker, sharded by instance
 //!   id; backpressure is a bounded queue, so a producer that outruns the

@@ -105,8 +105,9 @@ impl ServeClient {
 /// id onto per-worker bounded queues. Each worker keeps up to
 /// [`ServeConfig::max_live`] sessions in flight and advances every one of
 /// them by a wave of at most [`ServeConfig::batch`] kernel events per
-/// round; finished instances are converted to [`Decision`]s and pushed to
-/// the shared outbound channel drained by [`Server::recv_decision`].
+/// round; finished instances are read into [`Decision`]s, pushed to the
+/// shared outbound channel drained by [`Server::recv_decision`], and kept
+/// for reuse on later proposals.
 pub struct Server {
     client: ServeClient,
     decisions: Receiver<Decision>,
@@ -200,22 +201,38 @@ impl Server {
     }
 }
 
-/// Admits one proposal into the live set (or refuses it immediately).
-fn admit(
-    propose: Propose,
-    live: &mut Vec<Instance>,
-    out: &Sender<Decision>,
-    workload: &Workload,
-    decided: &mut u64,
-) -> Result<(), ()> {
-    match Instance::new(propose, workload) {
-        Ok(instance) => {
-            live.push(instance);
-            Ok(())
-        }
-        Err((_, propose)) => {
-            *decided += 1;
-            out.send(Instance::refuse(propose)).map_err(|_| ())
+/// One worker's instances. `instances[..live]` are in flight; the rest
+/// are decided and wait to be re-seated on the next proposals, so a worker
+/// builds a session only while the vector grows towards `max_live`, and
+/// never holds more than `max_live` of them.
+struct Pool {
+    instances: Vec<Instance>,
+    live: usize,
+}
+
+impl Pool {
+    /// Admits one proposal: restarts an idle instance, or builds one while
+    /// none is idle. A proposal that cannot start is refused at once.
+    fn admit(
+        &mut self,
+        propose: Propose,
+        out: &Sender<Decision>,
+        workload: &Workload,
+        decided: &mut u64,
+    ) -> Result<(), ()> {
+        let started = match self.instances.get_mut(self.live) {
+            Some(idle) => idle.restart(propose, workload),
+            None => Instance::new(propose, workload).map(|fresh| self.instances.push(fresh)),
+        };
+        match started {
+            Ok(()) => {
+                self.live += 1;
+                Ok(())
+            }
+            Err((_, propose)) => {
+                *decided += 1;
+                out.send(Instance::refuse(propose)).map_err(|_| ())
+            }
         }
     }
 }
@@ -224,15 +241,15 @@ fn admit(
 /// instance by one wave, ship finished instances, repeat until the
 /// proposal queue disconnects and the live set drains.
 fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<Decision>, config: ServeConfig) -> u64 {
-    let mut live: Vec<Instance> = Vec::new();
+    let mut pool = Pool { instances: Vec::new(), live: 0 };
     let mut decided: u64 = 0;
     let mut open = true;
-    while open || !live.is_empty() {
-        if live.is_empty() {
+    while open || pool.live > 0 {
+        if pool.live == 0 {
             // Nothing in flight: block until work arrives or the queue closes.
             match rx.recv() {
                 Ok(WorkerMsg::Propose(p)) => {
-                    if admit(p, &mut live, &out, &config.workload, &mut decided).is_err() {
+                    if pool.admit(p, &out, &config.workload, &mut decided).is_err() {
                         return decided;
                     }
                 }
@@ -242,10 +259,10 @@ fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<Decision>, config: ServeConf
                 }
             }
         }
-        while open && live.len() < config.max_live {
+        while open && pool.live < config.max_live {
             match rx.try_recv() {
                 Ok(WorkerMsg::Propose(p)) => {
-                    if admit(p, &mut live, &out, &config.workload, &mut decided).is_err() {
+                    if pool.admit(p, &out, &config.workload, &mut decided).is_err() {
                         return decided;
                     }
                 }
@@ -257,14 +274,16 @@ fn worker_loop(rx: Receiver<WorkerMsg>, out: Sender<Decision>, config: ServeConf
             }
         }
         let mut i = 0;
-        while i < live.len() {
+        while i < pool.live {
             // A kernel error (e.g. event-limit exhaustion) ends the
-            // instance too; `finish` reports it as non-terminated.
-            let done = live[i].step_wave(config.batch).unwrap_or(true);
+            // instance too; its decision reports it as non-terminated.
+            let done = pool.instances[i].step_wave(config.batch).unwrap_or(true);
             if done {
-                let instance = live.swap_remove(i);
+                let decision = pool.instances[i].take_decision();
+                pool.live -= 1;
+                pool.instances.swap(i, pool.live);
                 decided += 1;
-                if out.send(instance.finish()).is_err() {
+                if out.send(decision).is_err() {
                     // Receiver gone: the server is being torn down.
                     return decided;
                 }

@@ -2,14 +2,14 @@
 //!
 //! One text command per line:
 //!
-//! | command              | effect                                            |
-//! |----------------------|---------------------------------------------------|
-//! | `RUN v0,v1,...`      | propose an instance, reply `ID <id>`              |
-//! | `FLUSH`              | wait for every outstanding decision of this       |
-//! |                      | connection; reply one `DECIDED` line per instance |
-//! |                      | (ascending id) then `OK <count>`                  |
-//! | `STATS`              | reply `STATS proposed=<p> flushed=<f>`            |
-//! | `QUIT` (or EOF)      | close the connection                              |
+//! | command              | effect                                                  |
+//! |----------------------|---------------------------------------------------------|
+//! | `RUN v0,v1,...`      | propose an instance, reply `ID <id>`                    |
+//! | `FLUSH`              | wait for the decision of every id this connection       |
+//! |                      | proposed and has not flushed yet; reply one `DECIDED`   |
+//! |                      | line per instance (ascending id), then `OK <count>`     |
+//! | `STATS`              | reply `STATS proposed=<p> flushed=<f> orphaned=<o>`     |
+//! | `QUIT` (or EOF)      | close the connection                                    |
 //!
 //! A decision line looks like `DECIDED 17 terminated=true 0:4 1:4 2:4` —
 //! instance id, termination flag, then `process:value` pairs. Malformed or
@@ -19,7 +19,13 @@
 //! decision channel has one consumer, so the `kset-serve` binary serves
 //! one connection at a time. The interesting concurrency — millions of
 //! in-flight instances — lives behind [`Server`], not in the framing.
+//!
+//! A connection that proposed and then quit without `FLUSH` leaves its
+//! decisions in that channel. `FLUSH` therefore answers only with the ids
+//! its own connection proposed: a decision for any other id is an orphan
+//! of an earlier connection, and is discarded and counted in `orphaned`.
 
+use std::collections::BTreeSet;
 use std::io::{self, BufRead, Write};
 
 use crate::instance::Decision;
@@ -32,6 +38,9 @@ pub struct ConnStats {
     pub proposed: u64,
     /// Decisions delivered back over this connection.
     pub flushed: u64,
+    /// Decisions discarded while flushing because this connection never
+    /// proposed their ids (left behind by an earlier connection).
+    pub orphaned: u64,
 }
 
 /// Parses a `v0,v1,...` comma-separated input vector.
@@ -61,7 +70,8 @@ pub fn serve_connection<R: BufRead, W: Write>(
     mut output: W,
 ) -> io::Result<ConnStats> {
     let mut stats = ConnStats::default();
-    let mut outstanding: u64 = 0;
+    // Ids proposed here and not yet flushed.
+    let mut outstanding = BTreeSet::new();
     for line in input.lines() {
         let line = line?;
         let line = line.trim();
@@ -77,7 +87,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
                 Some(inputs) => match client.propose(inputs) {
                     Ok(id) => {
                         stats.proposed += 1;
-                        outstanding += 1;
+                        outstanding.insert(id);
                         writeln!(output, "ID {id}")?;
                     }
                     Err(err) => writeln!(output, "ERR {err}")?,
@@ -85,13 +95,11 @@ pub fn serve_connection<R: BufRead, W: Write>(
                 None => writeln!(output, "ERR expected RUN v0,v1,...")?,
             },
             "FLUSH" => {
-                let mut batch = Vec::with_capacity(outstanding as usize);
-                while outstanding > 0 {
+                let mut batch = Vec::with_capacity(outstanding.len());
+                while !outstanding.is_empty() {
                     match server.recv_decision() {
-                        Some(decision) => {
-                            outstanding -= 1;
-                            batch.push(decision);
-                        }
+                        Some(decision) if outstanding.remove(&decision.id) => batch.push(decision),
+                        Some(_) => stats.orphaned += 1,
                         None => break, // workers gone; report what we have
                     }
                 }
@@ -105,8 +113,8 @@ pub fn serve_connection<R: BufRead, W: Write>(
             "STATS" => {
                 writeln!(
                     output,
-                    "STATS proposed={} flushed={}",
-                    stats.proposed, stats.flushed
+                    "STATS proposed={} flushed={} orphaned={}",
+                    stats.proposed, stats.flushed, stats.orphaned
                 )?;
             }
             "QUIT" => break,
@@ -132,7 +140,7 @@ mod tests {
         let mut reply = Vec::new();
         let stats =
             serve_connection(&server, &client, script.as_bytes(), &mut reply).unwrap();
-        assert_eq!(stats, ConnStats { proposed: 2, flushed: 2 });
+        assert_eq!(stats, ConnStats { proposed: 2, flushed: 2, orphaned: 0 });
         let reply = String::from_utf8(reply).unwrap();
         let lines: Vec<&str> = reply.lines().collect();
         assert_eq!(lines[0], "ID 0");
@@ -140,7 +148,44 @@ mod tests {
         assert!(lines[2].starts_with("DECIDED 0 terminated=true "));
         assert!(lines[3].starts_with("DECIDED 1 terminated=true "));
         assert_eq!(lines[4], "OK 2");
-        assert_eq!(lines[5], "STATS proposed=2 flushed=2");
+        assert_eq!(lines[5], "STATS proposed=2 flushed=2 orphaned=0");
+        drop(client);
+        assert_eq!(server.shutdown().decided, 2);
+    }
+
+    #[test]
+    fn flush_returns_only_this_connections_decisions() {
+        let server = Server::start(ServeConfig::new(Workload::flood_min(3, 1)));
+        let client = server.client();
+        // Connection A proposes and quits without flushing: its decision
+        // stays in the server's channel.
+        let mut reply_a = Vec::new();
+        let stats_a =
+            serve_connection(&server, &client, "RUN 5,6,7\nQUIT\n".as_bytes(), &mut reply_a)
+                .unwrap();
+        assert_eq!(String::from_utf8(reply_a).unwrap(), "ID 0\n");
+        assert_eq!(stats_a, ConnStats { proposed: 1, flushed: 0, orphaned: 0 });
+
+        // Connection B's flush answers with B's own instance only.
+        let mut reply_b = Vec::new();
+        let stats_b = serve_connection(
+            &server,
+            &client,
+            "RUN 1,1,1\nFLUSH\nSTATS\nQUIT\n".as_bytes(),
+            &mut reply_b,
+        )
+        .unwrap();
+        let reply_b = String::from_utf8(reply_b).unwrap();
+        assert_eq!(
+            reply_b.lines().collect::<Vec<_>>(),
+            [
+                "ID 1",
+                "DECIDED 1 terminated=true 0:1 1:1 2:1",
+                "OK 1",
+                "STATS proposed=1 flushed=1 orphaned=1",
+            ]
+        );
+        assert_eq!(stats_b, ConnStats { proposed: 1, flushed: 1, orphaned: 1 });
         drop(client);
         assert_eq!(server.shutdown().decided, 2);
     }

@@ -173,6 +173,31 @@ impl<E> Kernel<E> {
         self
     }
 
+    /// Starts a new run in place under `scheduler`: empties the pending
+    /// pool (keeping its capacity), zeroes the clock, the id counter, the
+    /// pool sum and the [`RunStats`], resets the [`RunState`] and clears
+    /// the trace and the metrics. The configuration stays: event limit,
+    /// event hasher, trace capacity and metrics settings. Afterwards the
+    /// kernel behaves exactly like one freshly built with `scheduler` and
+    /// the same configuration.
+    pub(crate) fn reset(&mut self, scheduler: impl Scheduler + 'static) {
+        self.metas.clear();
+        self.payloads.clear();
+        self.hashes.clear();
+        self.payload_hashes.clear();
+        self.pool_sum = 0;
+        self.scheduler = Box::new(scheduler);
+        self.state.reset();
+        self.trace.clear();
+        self.stats = RunStats::default();
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.reset(self.state.n());
+        }
+        self.last_deviation = Deviation::Faithful;
+        self.time = 0;
+        self.next_id = 0;
+    }
+
     /// Posts an event; returns its assigned id.
     ///
     /// The kernel stamps `meta.id` and `meta.posted_at`; whatever the caller
@@ -736,6 +761,34 @@ mod tests {
         assert_eq!(m.delivery_latency.count(), 2);
         assert_eq!(m.delivery_latency.sum(), 2);
         assert_eq!(m.delivery_latency.max(), 1);
+    }
+
+    #[test]
+    fn reset_replays_like_a_fresh_kernel() {
+        let fresh = || {
+            Kernel::<u32>::with_processes(RandomScheduler::from_seed(4), 3)
+                .trace_capacity(16)
+                .collect_metrics(MetricsConfig::enabled())
+        };
+        let drive = |k: &mut Kernel<u32>| {
+            for i in 0..12 {
+                k.post(step(i % 3), i as u32);
+            }
+            k.cancel_where(|m| m.target == 2);
+            k.note_decision(0);
+            std::iter::from_fn(|| k.next_event().map(|(m, p)| (m.id, p))).collect::<Vec<_>>()
+        };
+        let mut reused = fresh();
+        reused.state_mut().mark_crashed(1);
+        drive(&mut reused);
+        reused.reset(RandomScheduler::from_seed(4));
+        let mut k = fresh();
+        assert_eq!(drive(&mut reused), drive(&mut k));
+        assert_eq!(reused.now(), k.now());
+        assert_eq!(reused.stats(), k.stats());
+        assert_eq!(reused.state(), k.state());
+        assert_eq!(reused.trace(), k.trace());
+        assert_eq!(reused.metrics(), k.metrics());
     }
 
     #[test]

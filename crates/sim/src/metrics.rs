@@ -306,6 +306,14 @@ impl MetricsCollector {
         }
     }
 
+    /// Discards everything measured so far: the collector reads as freshly
+    /// built for `n` processes under the same configuration.
+    pub(crate) fn reset(&mut self, n: usize) {
+        self.fires = 0;
+        self.metrics = RunMetrics::new();
+        self.ensure_processes(n);
+    }
+
     /// Pre-sizes the per-process table so every slot exists even if a
     /// process never triggers a counting event (e.g. only fires local
     /// steps, which attribute nothing on post).

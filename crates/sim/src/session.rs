@@ -28,6 +28,7 @@ use crate::event::{EventKind, EventMeta, ProcessId};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::Kernel;
 use crate::outcome::Outcome;
+use crate::sched::Scheduler;
 use crate::substrate::{CallInfo, Effect, Substrate, SubstrateAdv, SubstrateDigest};
 
 /// Kernel payloads of a substrate-generic run: the universal start/step
@@ -162,6 +163,18 @@ impl<S: Substrate> RunCore<S> {
             started: vec![false; n],
             buf: Vec::new(),
         }
+    }
+
+    /// Re-seats the run state on fresh processes (`procs(p)` builds process
+    /// `p`), in place: the decision and start tables are cleared, the
+    /// shared state rebuilt and the effect buffer emptied. The plan stays.
+    fn reset(&mut self, procs: impl FnMut(ProcessId) -> S::Process) {
+        self.procs.clear();
+        self.procs.extend((0..self.n).map(procs));
+        self.shared = S::new_shared(self.n);
+        self.decisions.fill_with(|| None);
+        self.started.fill(false);
+        self.buf.clear();
     }
 
     /// Handles one fired event end to end: crash filtering, lazy start, and
@@ -322,6 +335,20 @@ impl<S: SubstrateAdv> RunCore<S> {
     }
 }
 
+/// The first moves of every run, shared by [`Session::build`] and
+/// [`Session::restart`]: marks the plan's Byzantine slots in the run state
+/// and posts each process's start event, in process-id order.
+fn start_run<P>(kernel: &mut Kernel<Payload<P>>, plan: &FaultPlan, n: usize) {
+    for pid in 0..n {
+        if plan.spec(pid).kind() == FaultKind::Byzantine {
+            kernel.state_mut().mark_byzantine(pid);
+        }
+    }
+    for pid in 0..n {
+        kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
+    }
+}
+
 fn crash<P>(kernel: &mut Kernel<Payload<P>>, pid: ProcessId) {
     kernel.state_mut().mark_crashed(pid);
     // Steps and deliveries *to* the crashed process will never be handled;
@@ -375,6 +402,13 @@ impl DigestEngine {
             components: std::mem::take(&mut arena.components),
             sorted: std::mem::take(&mut arena.sorted),
         }
+    }
+
+    /// Empties the digest chain and the per-process cache for a restarted
+    /// run; the mode and plan stay, and the scratch is cleared on use.
+    fn reset(&mut self) {
+        self.proc_digests.clear();
+        self.digests.clear();
     }
 
     /// Returns the scratch buffers to `arena`, handing the digest chain to
@@ -641,14 +675,7 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
             std::mem::take(&mut arena.payload_hashes),
         );
 
-        for pid in 0..n {
-            if config.plan.spec(pid).kind() == FaultKind::Byzantine {
-                kernel.state_mut().mark_byzantine(pid);
-            }
-        }
-        for pid in 0..n {
-            kernel.post(EventMeta::new(EventKind::LocalStep, pid), Payload::Start);
-        }
+        start_run(&mut kernel, &config.plan, n);
 
         Session {
             kernel,
@@ -657,6 +684,34 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
             dig,
             _delivery: PhantomData,
         }
+    }
+
+    /// Starts a new run in this session, in place: `scheduler` replaces
+    /// the current one (delay-rule gating included, so wrap it yourself if
+    /// the session was built with rules) and `procs(p)` builds process
+    /// `p` for every `p` in `0..n`.
+    ///
+    /// The kernel's pool, clock, ids, stats, run state, trace and metrics
+    /// are reset, as are the decision and start tables, the shared state
+    /// and the digest engine; then the plan's Byzantine slots are marked
+    /// and the start events posted, exactly as when the session was built.
+    /// The configuration stays: `n`, the fault plan, the event limit, the
+    /// trace capacity, the metrics settings and the digest mode. A
+    /// restarted session is indistinguishable from a freshly built one
+    /// (pinned by the `session_parity` suite), and it reuses every buffer
+    /// the previous run grew: it allocates only the boxed scheduler, the
+    /// processes and, where the substrate has one, the new shared state.
+    /// It may be called in any state, including after an error from
+    /// [`Session::step`].
+    pub fn restart(
+        &mut self,
+        scheduler: impl Scheduler + 'static,
+        procs: impl FnMut(ProcessId) -> S::Process,
+    ) {
+        self.kernel.reset(scheduler);
+        self.core.reset(procs);
+        self.dig.reset();
+        start_run(&mut self.kernel, &self.core.plan, self.core.n);
     }
 
     /// Advances the run by at most one fired event.
@@ -709,6 +764,11 @@ impl<S: Substrate, D: Delivery<S>> Session<S, D> {
     /// The decision table so far, indexed by process id.
     pub fn decisions(&self) -> &[Option<S::Output>] {
         &self.core.decisions
+    }
+
+    /// The fault plan every run of this session follows.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.core.plan
     }
 
     /// Ends the run and assembles the [`Outcome`], exactly as the

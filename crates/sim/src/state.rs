@@ -34,6 +34,19 @@ impl RunState {
         }
     }
 
+    /// Returns the state to [`RunState::new`] for the same `n`, in place:
+    /// every decided, crashed and Byzantine flag cleared, every action
+    /// count and the drop count zeroed, the clock at 0. Keeps the buffers,
+    /// so a restarted session allocates nothing here.
+    pub(crate) fn reset(&mut self) {
+        self.decided.fill(false);
+        self.crashed.fill(false);
+        self.byzantine.fill(false);
+        self.actions.fill(0);
+        self.drops = 0;
+        self.now = 0;
+    }
+
     /// Current virtual time (events fired so far), kept up to date by the
     /// kernel. Delay rules with an expiry deadline compare against this.
     pub fn now(&self) -> u64 {
@@ -194,6 +207,19 @@ mod tests {
         assert_eq!(s.charge_drop(), 1);
         assert_eq!(s.charge_drop(), 2);
         assert_eq!(s.drops(), 2);
+    }
+
+    #[test]
+    fn reset_returns_to_the_fresh_state() {
+        let mut s = RunState::new(3);
+        s.mark_decided(0);
+        s.mark_crashed(1);
+        s.mark_byzantine(2);
+        s.charge_action(1);
+        s.charge_drop();
+        s.set_now(9);
+        s.reset();
+        assert_eq!(s, RunState::new(3));
     }
 
     #[test]

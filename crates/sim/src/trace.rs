@@ -59,6 +59,13 @@ impl Trace {
         self.capacity > 0
     }
 
+    /// Forgets every recorded entry and the dropped count, keeping the
+    /// capacity: the trace of a restarted run starts empty.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.dropped = 0;
+    }
+
     /// Appends an entry, dropping it if the trace is full.
     pub fn record(&mut self, entry: TraceEntry) {
         if self.entries.len() < self.capacity {

@@ -13,6 +13,10 @@
 //! * The deviation-aware session (`session_adv`, the checker's delivery
 //!   path) replays a real Byzantine counterexample exactly like
 //!   `run_adv`, with zero scheduler divergences.
+//! * A session restarted in place (`Session::restart`, how `kset-serve`
+//!   reuses its sessions) runs **byte-identically** to a freshly built one
+//!   — outcome, stats, trace, metrics — on both substrates, across seeds
+//!   and fault plans, and also after a run that hit the event limit.
 //! * The model checker built on top still certifies the PR 9 Byzantine
 //!   frontier with the same counters digit for digit, invariantly across
 //!   fork modes and thread counts.
@@ -24,7 +28,8 @@ use kset::net::{MpSubstrate, MpSystem};
 use kset::protocols::{FloodMin, ProtocolE};
 use kset::shmem::SmSystem;
 use kset::sim::{
-    FaultPlan, FaultSpec, MetricsConfig, Poll, ReplayScheduler, System,
+    FaultPlan, FaultSpec, MetricsConfig, Poll, RandomScheduler, ReplayScheduler, Session,
+    SimError, Substrate, System,
 };
 use kset_core::ValidityCondition;
 use kset_experiments::checker::{
@@ -179,6 +184,150 @@ fn event_limit_error_is_identical_across_drivers() {
         format!("{:?}", whole.expect_err("budget must be exceeded")),
         format!("{stepped:?}"),
     );
+}
+
+/// Steps `session` until the run is over (`Ok`) or the kernel errors.
+fn run_out<S: Substrate>(session: &mut Session<S>) -> Result<(), SimError> {
+    while let Poll::Pending = session.step()? {}
+    Ok(())
+}
+
+/// A seed no comparison below uses, for the run a session carries before
+/// it is restarted.
+const DIRTY_SEED: u64 = 99;
+
+#[test]
+fn mp_restart_is_byte_identical_to_a_fresh_session() {
+    let n = 5;
+    let seeds = [0, 7, 42];
+    let inputs: Vec<u64> = (0..n as u64).map(|p| (p * 13) % 7).collect();
+    let procs = || inputs.iter().map(|&v| FloodMin::boxed(n, 2, v)).collect::<Vec<_>>();
+    for plan in plans(n) {
+        let build = |seed| {
+            MpSystem::new(n)
+                .seed(seed)
+                .fault_plan(plan.clone())
+                .trace_capacity(256)
+                .metrics(MetricsConfig::enabled())
+        };
+        for seed in seeds {
+            let mut fresh = build(seed).session(procs()).expect("session");
+            run_out(&mut fresh).expect("step");
+            let fresh_stats = *fresh.stats();
+            let (fresh, ()) = fresh.finish();
+
+            // A session that already ran other schedules to the end.
+            let mut reused = build(DIRTY_SEED).session(procs()).expect("session");
+            run_out(&mut reused).expect("step");
+            for other in seeds.into_iter().chain([seed]) {
+                reused.restart(RandomScheduler::from_seed(other), |p| {
+                    FloodMin::boxed(n, 2, inputs[p])
+                });
+                run_out(&mut reused).expect("step");
+            }
+            assert_eq!(*reused.stats(), fresh_stats);
+            let (reused, ()) = reused.finish();
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{reused:?}"),
+                "seed {seed}, plan {plan:?}: restarted session diverged from a fresh one"
+            );
+        }
+    }
+}
+
+#[test]
+fn sm_restart_is_byte_identical_to_a_fresh_session() {
+    let n = 4;
+    let seeds = [1, 11];
+    let inputs: Vec<u64> = vec![9, 3, 3, 8];
+    let procs = || {
+        inputs
+            .iter()
+            .map(|&v| ProtocolE::boxed(n, 3, v, DEFAULT))
+            .collect::<Vec<_>>()
+    };
+    for plan in plans(n) {
+        let build = |seed| {
+            SmSystem::new(n)
+                .seed(seed)
+                .fault_plan(plan.clone())
+                .trace_capacity(256)
+                .metrics(MetricsConfig::enabled())
+        };
+        for seed in seeds {
+            let mut fresh = build(seed).session(procs()).expect("session");
+            run_out(&mut fresh).expect("step");
+            let (fresh, fresh_memory) = fresh.finish();
+
+            let mut reused = build(DIRTY_SEED).session(procs()).expect("session");
+            run_out(&mut reused).expect("step");
+            for other in seeds.into_iter().chain([seed]) {
+                reused.restart(RandomScheduler::from_seed(other), |p| {
+                    ProtocolE::boxed(n, 3, inputs[p], DEFAULT)
+                });
+                run_out(&mut reused).expect("step");
+            }
+            let (reused, reused_memory) = reused.finish();
+            assert_eq!(
+                format!("{fresh:?}"),
+                format!("{reused:?}"),
+                "seed {seed}, plan {plan:?}: restarted SM session diverged from a fresh one"
+            );
+            // The register store is rebuilt too, not carried over.
+            assert_eq!(fresh_memory.snapshot(), reused_memory.snapshot());
+        }
+    }
+}
+
+#[test]
+fn restart_after_an_event_limit_error_is_byte_identical() {
+    let n = 4;
+    let procs = || (0..n as u64).map(|v| FloodMin::boxed(n, 1, v)).collect::<Vec<_>>();
+    let events_of = |seed| {
+        MpSystem::new(n).seed(seed).run(procs()).expect("run").stats.events_fired
+    };
+    // Two schedules of different lengths: under a limit equal to the
+    // shorter one, the longer run fails and the shorter one completes.
+    let short = 0;
+    let long = (1..64)
+        .find(|&seed| events_of(seed) > events_of(short))
+        .expect("schedules of different lengths");
+    let limit = events_of(short);
+    let build = |seed| {
+        MpSystem::new(n)
+            .seed(seed)
+            .event_limit(limit)
+            .trace_capacity(256)
+            .metrics(MetricsConfig::enabled())
+    };
+    let restart = |session: &mut Session<_>, seed| {
+        session.restart(RandomScheduler::from_seed(seed), |p| {
+            FloodMin::boxed(n, 1, p as u64)
+        })
+    };
+
+    // Failed run, restarted into the same failing schedule: same error,
+    // same counters and decisions at the point of failure.
+    let mut fresh = build(long).session(procs()).expect("session");
+    let fresh_err = run_out(&mut fresh).expect_err("the long schedule exceeds the limit");
+    let mut reused = build(long).session(procs()).expect("session");
+    run_out(&mut reused).expect_err("the long schedule exceeds the limit");
+    restart(&mut reused, long);
+    let reused_err = run_out(&mut reused).expect_err("the long schedule exceeds the limit");
+    assert_eq!(fresh_err, reused_err);
+    assert_eq!(fresh.stats(), reused.stats());
+    assert_eq!(fresh.decisions(), reused.decisions());
+
+    // Failed run, restarted into a schedule that fits: identical outcome.
+    let mut fresh = build(short).session(procs()).expect("session");
+    run_out(&mut fresh).expect("the short schedule fits the limit");
+    let (fresh, ()) = fresh.finish();
+    restart(&mut reused, short);
+    run_out(&mut reused).expect("the short schedule fits the limit");
+    let (reused, ()) = reused.finish();
+    assert!(reused.terminated);
+    assert_eq!(format!("{fresh:?}"), format!("{reused:?}"));
 }
 
 /// The PR 9 Byzantine frontier cell on the violated side: FloodMin under
