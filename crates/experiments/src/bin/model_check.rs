@@ -40,7 +40,8 @@
 //! `--progress N` (stderr counters every N runs), `--json PATH` (one
 //! `RunRecord` per explored crash pattern, schema in `OBSERVABILITY.md`),
 //! `--bench-json PATH` (machine-readable wall-clock/throughput summary of
-//! the checked cells — the format recorded in `BENCH_model_check.json`).
+//! the checked cells plus the process's peak RSS — the format recorded in
+//! `BENCH_model_check.json`).
 //! Counterexamples are written to `--counterexample PATH` (default
 //! `target/model_check/<cell>.schedule`) and replayed with `--replay`.
 //!
@@ -378,8 +379,21 @@ fn write_bench_json(
             "runs_per_s",
             Json::decimal(total_runs as f64 / total_wall.max(1e-9), 0),
         ),
+        (
+            "peak_rss_mib",
+            peak_rss_mib().map_or(Json::Null, |mib| Json::decimal(mib, 1)),
+        ),
     ]);
     std::fs::write(path, report.to_document())
+}
+
+/// Peak resident set size of this process so far, in MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that file is unavailable.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kib: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn default_counterexample_path(cfg: &CheckerConfig) -> PathBuf {

@@ -3,12 +3,14 @@
 //!
 //! The table maps a 64-bit state fingerprint to the minimal antichain of
 //! sleep sets it was expanded under — the same data the checker's
-//! [`Visited`](crate::checker::Visited) keeps, laid out for identity
-//! hashing: fingerprints are already avalanched (`PERFORMANCE.md`), so
-//! the probe sequence starts at the fingerprint's low bits directly and
-//! linear probing stays clustered-free without re-hashing. (The shard
-//! *partition* uses high bits — [`super::store::DiskStore`] — so the two
-//! never correlate.)
+//! [`Visited`](crate::checker::Visited) keeps, in the same packed bucket
+//! type (four bytes per entry; the log still writes each entry as two
+//! `u64`s, so the on-disk format does not depend on the packing). The
+//! slots are laid out for identity hashing: fingerprints are already
+//! avalanched (`PERFORMANCE.md`), so the probe sequence starts at the
+//! fingerprint's low bits directly and linear probing stays
+//! clustered-free without re-hashing. (The shard *partition* uses high
+//! bits — [`super::store::DiskStore`] — so the two never correlate.)
 //!
 //! The log is append-only between checkpoints: an insertion that
 //! supersedes earlier entries (a subset arriving after its supersets)
@@ -25,7 +27,8 @@ use std::path::Path;
 
 use kset_sim::EventId;
 
-use crate::checker::{sleep_subset, SleepEntry};
+use crate::checker::SleepEntry;
+use crate::visited::{pack, unpack, Antichain};
 
 use super::store::{put_u64, take_u64};
 
@@ -42,7 +45,7 @@ const COMPACT_MIN_RECORDS: u64 = 1 << 14;
 #[derive(Debug)]
 struct Bucket {
     fingerprint: u64,
-    antichain: Vec<Box<[SleepEntry]>>,
+    antichain: Antichain,
 }
 
 /// One shard: the in-memory open-addressing table plus the bookkeeping
@@ -74,12 +77,8 @@ impl Shard {
     /// The subset-rule query, identical in semantics to
     /// [`Visited::covers`](crate::checker::Visited::covers).
     pub fn covers(&self, fingerprint: u64, sleep: &[SleepEntry]) -> bool {
-        self.find(fingerprint).is_some_and(|idx| {
-            self.buckets[idx]
-                .antichain
-                .iter()
-                .any(|s| sleep_subset(s, sleep))
-        })
+        self.find(fingerprint)
+            .is_some_and(|idx| self.buckets[idx].antichain.covers(sleep))
     }
 
     /// Absorbs one entry: skipped if covered, otherwise inserted (stored
@@ -159,9 +158,12 @@ impl Shard {
     /// Propagates I/O errors.
     pub fn rewrite_to(&mut self, path: &Path) -> io::Result<()> {
         let mut out = Vec::new();
+        let mut sleep = Vec::new();
         for bucket in &self.buckets {
-            for sleep in &bucket.antichain {
-                encode_record(&mut out, bucket.fingerprint, sleep);
+            for group in bucket.antichain.groups() {
+                sleep.clear();
+                sleep.extend(group.iter().map(|&packed| unpack(packed)));
+                encode_record(&mut out, bucket.fingerprint, &sleep);
             }
         }
         let tmp = path.with_extension("log.tmp");
@@ -186,31 +188,36 @@ impl Shard {
     ///
     /// [`io::ErrorKind::InvalidData`] on a torn record below the
     /// watermark (the snapshot then references data that was never fully
-    /// written — a corrupt campaign directory).
+    /// written — a corrupt campaign directory), or on an entry whose id or
+    /// target the packed bucket cannot hold (no store ever wrote one).
     pub fn load(&mut self, bytes: &[u8], path: &Path) -> io::Result<()> {
         let mut at = 0;
         let mut records = 0u64;
+        let mut sleep = Vec::new();
         while at < bytes.len() {
             let record_start = at;
-            let torn = move || {
+            let invalid = move |what: &str| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
-                        "shard log {} has a torn record at byte {record_start} below the watermark",
+                        "shard log {} has {what} at byte {record_start} below the watermark",
                         path.display()
                     ),
                 )
             };
+            let torn = move || invalid("a torn record");
             let fingerprint = take_u64(bytes, &mut at).ok_or_else(torn)?;
             let len = take_u64(bytes, &mut at).ok_or_else(torn)? as usize;
-            let mut sleep = Vec::with_capacity(len);
+            sleep.clear();
             for _ in 0..len {
                 let id = take_u64(bytes, &mut at).ok_or_else(torn)?;
-                let target = take_u64(bytes, &mut at).ok_or_else(torn)? as usize;
-                sleep.push(SleepEntry {
+                let target = take_u64(bytes, &mut at).ok_or_else(torn)?;
+                let entry = SleepEntry {
                     id: EventId::from_u64(id),
-                    target,
-                });
+                    target: usize::try_from(target).unwrap_or(usize::MAX),
+                };
+                pack(entry).ok_or_else(|| invalid("an out-of-range sleep entry"))?;
+                sleep.push(entry);
             }
             if !self.covers(fingerprint, &sleep) {
                 self.insert_minimal(fingerprint, &sleep);
@@ -253,7 +260,7 @@ impl Shard {
                 let idx = self.buckets.len();
                 self.buckets.push(Bucket {
                     fingerprint,
-                    antichain: Vec::new(),
+                    antichain: Antichain::default(),
                 });
                 let mask = self.slots.len() - 1;
                 let mut i = (fingerprint as usize) & mask;
@@ -265,12 +272,8 @@ impl Shard {
                 idx
             }
         };
-        let antichain = &mut self.buckets[idx].antichain;
-        let before = antichain.len();
-        antichain.retain(|s| !sleep_subset(sleep, s));
-        self.live -= (before - antichain.len()) as u64;
-        antichain.push(sleep.to_vec().into_boxed_slice());
-        self.live += 1;
+        let dropped = self.buckets[idx].antichain.insert(sleep);
+        self.live = self.live + 1 - dropped as u64;
     }
 
     fn grow_if_needed(&mut self) {

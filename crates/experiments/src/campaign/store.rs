@@ -28,6 +28,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::checker::{SleepEntry, Visited};
+use crate::visited::unpack;
 
 use super::shard::Shard;
 
@@ -65,7 +66,9 @@ impl CampaignStore for Visited {
     }
 
     fn entries(&self) -> u64 {
-        self.iter().map(|(_, bucket)| bucket.count() as u64).sum()
+        self.iter()
+            .map(|(_, bucket)| bucket.groups().count() as u64)
+            .sum()
     }
 }
 
@@ -340,10 +343,13 @@ impl CampaignStore for DiskStore {
     }
 
     fn absorb(&mut self, tasks: Visited) {
+        let mut sleep = Vec::new();
         for (fingerprint, bucket) in tasks.iter() {
             let shard = self.shard_of(fingerprint);
-            for sleep in bucket {
-                self.shards[shard].absorb(fingerprint, sleep);
+            for group in bucket.groups() {
+                sleep.clear();
+                sleep.extend(group.iter().map(|&packed| unpack(packed)));
+                self.shards[shard].absorb(fingerprint, &sleep);
             }
         }
     }

@@ -31,3 +31,4 @@ pub mod exhaustive;
 pub mod explorer;
 pub mod record_sink;
 pub mod report;
+mod visited;

@@ -13,7 +13,8 @@
 //!
 //! A decision line looks like `DECIDED 17 terminated=true 0:4 1:4 2:4` —
 //! instance id, termination flag, then `process:value` pairs. Malformed or
-//! unknown input earns an `ERR <reason>` line and the connection stays up.
+//! unknown input earns an `ERR <reason>` line and the connection stays up;
+//! that includes a line that is not UTF-8 (`ERR invalid utf-8`).
 //!
 //! The protocol is synchronous and single-tenant by design: the server's
 //! decision channel has one consumer, so the `kset-serve` binary serves
@@ -66,14 +67,23 @@ pub fn decision_line(decision: &Decision) -> String {
 pub fn serve_connection<R: BufRead, W: Write>(
     server: &Server,
     client: &ServeClient,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<ConnStats> {
     let mut stats = ConnStats::default();
     // Ids proposed here and not yet flushed.
     let mut outstanding = BTreeSet::new();
-    for line in input.lines() {
-        let line = line?;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if input.read_until(b'\n', &mut raw)? == 0 {
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            writeln!(output, "ERR invalid utf-8")?;
+            output.flush()?;
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -188,6 +198,28 @@ mod tests {
         assert_eq!(stats_b, ConnStats { proposed: 1, flushed: 1, orphaned: 1 });
         drop(client);
         assert_eq!(server.shutdown().decided, 2);
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_an_err_and_the_connection_stays_up() {
+        let server = Server::start(ServeConfig::new(Workload::flood_min(3, 1)));
+        let client = server.client();
+        let script: &[u8] = b"RUN 1,1,1\n\xff\xfeRUN 2,2,2\nFLUSH\nQUIT\n";
+        let mut reply = Vec::new();
+        let stats = serve_connection(&server, &client, script, &mut reply).unwrap();
+        let reply = String::from_utf8(reply).unwrap();
+        assert_eq!(
+            reply.lines().collect::<Vec<_>>(),
+            [
+                "ID 0",
+                "ERR invalid utf-8",
+                "DECIDED 0 terminated=true 0:1 1:1 2:1",
+                "OK 1",
+            ]
+        );
+        assert_eq!((stats.proposed, stats.flushed, stats.orphaned), (1, 1, 0));
+        drop(client);
+        server.shutdown();
     }
 
     #[test]
