@@ -21,10 +21,13 @@
 //! The checker is a *stateless* (re-execution based) explorer in the style
 //! of systematic concurrency testers: a schedule is a sequence of canonical
 //! choice indices (see [`kset_sim::ChoiceScheduler`]); the engine runs the
-//! kernel to completion under a prefix, reads the recorded
-//! [`kset_sim::ChoiceLog`] back, and pushes one work item per untried
-//! alternative at every beyond-prefix decision point. Because the kernel is
-//! deterministic given the prefix, re-execution is exact.
+//! kernel under a prefix, reads the recorded [`kset_sim::ChoiceLog`] back,
+//! and pushes one work item per untried alternative at every beyond-prefix
+//! decision point up to the run's first deduplicated one. Because the
+//! kernel is deterministic given the prefix, re-execution is exact. The
+//! replay executor runs every schedule to completion; the forking executor
+//! stops a run at that first deduplicated point, since nothing past it is
+//! read (see [`ForkMode`]).
 //!
 //! Three reductions keep the tree tractable without losing soundness:
 //!
@@ -213,13 +216,14 @@ pub struct CheckerConfig {
 /// [`CheckerConfig::fork`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ForkMode {
-    /// Re-execute every work item's prefix from the initial state — the
-    /// stateless baseline, kept as the cross-checking oracle for the
-    /// forking executor.
+    /// Re-execute every work item's prefix from the initial state and
+    /// run it to completion — the stateless baseline, kept as the
+    /// cross-checking oracle for the forking executor.
     Replay,
     /// Resume every work item from the snapshot taken at its branch
-    /// point, with no snapshot byte budget. Items whose snapshot was
-    /// elided (gate-closed points, spilled continuations) still replay.
+    /// point, with no snapshot byte budget, and end each run at its first
+    /// deduplicated point. Items without a snapshot (spilled
+    /// continuations) still replay their prefix.
     Fork,
     /// Fork, but stop taking new snapshots while a task's live snapshot
     /// bytes exceed a fixed budget — those points degrade to replay.
@@ -1035,6 +1039,13 @@ struct WalkScratch {
 /// only its length matters here (in-prefix points were already walked when
 /// the prefix was recorded — the [`kset_sim::ChoiceScheduler`] does not
 /// even log their options).
+///
+/// `verified_cut` is set when the forking executor ended the run at a
+/// point its [`WalkGate`] proved covered: the log then ends at that point,
+/// and the walk counts its dedup hit there without re-probing the stores —
+/// sound because covers are monotone (stores only grow between the gate's
+/// probe and the walk's) and the gate's sleep set evolves exactly as the
+/// walk's.
 #[allow(clippy::too_many_arguments)]
 fn walk_run<S: CampaignStore>(
     cfg: &CheckerConfig,
@@ -1056,8 +1067,12 @@ fn walk_run<S: CampaignStore>(
         children,
         sleeps,
     } = scratch;
+    debug_assert!(verified_cut.map_or(true, |cut| cut == log.len()));
     taken.clear();
     taken.extend((0..log.len()).map(|i| log.taken(i)));
+    // A cut run ends at a covered point: the hit lands there unless an
+    // earlier point is covered too (by this walk's own insertions).
+    let mut dedup_hit = verified_cut.is_some();
     for d in prefix_len..log.len() {
         let point = log.point(d);
 
@@ -1066,21 +1081,11 @@ fn walk_run<S: CampaignStore>(
         // pattern anyway). `global` is the frozen pre-wave snapshot; new
         // insertions go to the task-local table.
         if cfg.dedup && d > 0 {
-            // The forking executor's gate may have proved this exact
-            // point covered mid-execution ([`WalkGate`] records where it
-            // closed). Visited stores only grow and the gate's sleep set
-            // evolves exactly as this walk's, so its TRUE answer still
-            // holds here — skip the (table-chasing) probe. A cut at an
-            // earlier point just leaves the hint unused.
-            if verified_cut == Some(d) {
-                out.dedup_hits += 1;
-                break;
-            }
             let fingerprint = digests[d - 1];
             // Task-local table first: it is small and cache-hot, and `||`
             // makes the probe order invisible to the verdict.
             if out.visited.covers(fingerprint, &sleep) || global.covers(fingerprint, &sleep) {
-                out.dedup_hits += 1;
+                dedup_hit = true;
                 break;
             }
             if out.visited.inserted() < cfg.max_states {
@@ -1169,6 +1174,9 @@ fn walk_run<S: CampaignStore>(
         }
         // Firing the taken event wakes its dependents.
         sleep.retain(|s| s.target != taken_meta.target);
+    }
+    if dedup_hit {
+        out.dedup_hits += 1;
     }
     // The walked item's sleep vector feeds the free list.
     sleeps.push(sleep);
@@ -1307,43 +1315,29 @@ fn explore_task_replay<S: CampaignStore>(
 }
 
 /// The checker's [`ForkGate`]: a mirror of [`walk_run`]'s pruning that
-/// runs *during* execution, so the forking executor only snapshots
-/// decision points whose siblings the walk will actually visit.
+/// runs *during* execution, so the forking executor stops each run where
+/// the walk will stop reading it and only snapshots decision points whose
+/// siblings the walk will actually visit.
 ///
 /// `branches_beyond` answers false exactly when the walk's dedup rule
 /// would cut the run off at (or before) that depth — the state was
-/// already expanded under a subset sleep set — at which point no deeper
-/// sibling of this run can ever be popped, so snapshots past it would be
-/// pure waste. Because visited stores only grow, a cover observed here
-/// still holds when the walk re-checks it. The sleep set evolves exactly
-/// as the walk's: `on_fired` wakes dependents of each beyond-prefix
-/// fired event.
-///
-/// A closing cover is remembered in `closed_at`: the decision-point
-/// depth where the gate proved (fingerprint, sleep) covered. The walk
-/// reuses that proof as its `verified_cut` and skips re-probing the
-/// stores at that depth — sound because covers are monotone (stores
-/// only grow between the gate's probe and the walk's).
+/// already expanded under a subset sleep set by an earlier run, whose
+/// subtree explores this run's completion — so the run ends there.
+/// Because visited stores only grow, a cover observed here still holds
+/// when the walk reaches the cut. The sleep set evolves exactly as the
+/// walk's: `on_fired` wakes dependents of each beyond-prefix fired event.
 struct WalkGate<'a, S: CampaignStore> {
     dedup: bool,
     global: &'a S,
     visited: &'a Visited,
-    sleep: Vec<SleepEntry>,
-    closed_at: Option<usize>,
+    sleep: &'a mut Vec<SleepEntry>,
 }
 
 impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
-    fn branches_beyond(&mut self, depth: usize, fingerprint: u64) -> bool {
-        if !self.dedup {
-            return true;
-        }
-        if self.visited.covers(fingerprint, &self.sleep)
-            || self.global.covers(fingerprint, &self.sleep)
-        {
-            self.closed_at = Some(depth);
-            return false;
-        }
-        true
+    fn branches_beyond(&mut self, fingerprint: u64) -> bool {
+        !self.dedup
+            || !(self.visited.covers(fingerprint, self.sleep)
+                || self.global.covers(fingerprint, self.sleep))
     }
 
     fn on_fired(&mut self, target: ProcessId) {
@@ -1358,11 +1352,18 @@ impl<S: CampaignStore> ForkGate for WalkGate<'_, S> {
 /// [`explore_task_replay`] on the forking executor: one [`ForkSession`]
 /// owns the kernel, process and digest state for the whole task, each
 /// work item resumes from the snapshot captured at its branch point (or
-/// replays from the root when none was — gate-closed point, byte budget,
-/// restored continuation), and the walk attaches the current run's
-/// snapshots to the children it stages. All observables — verdicts,
-/// counters, counterexample bytes — are identical to the replay executor
-/// (`tests/fork_parity.rs` pins this).
+/// replays from the root when none was — byte budget, restored
+/// continuation), and the walk attaches the current run's snapshots to
+/// the children it stages.
+///
+/// A run its [`WalkGate`] ends at a covered point
+/// ([`ForkSession::cut_at`]) still counts as a run, but its completion is
+/// never executed, so it gets no violation check and no agreement count:
+/// the earlier run that inserted the covering entry reached the same state
+/// beyond its prefix, and that run's subtree explores this completion's
+/// trace class. All observables — verdicts, counters, counterexample
+/// bytes — are identical to the replay executor, which runs every
+/// completion (`tests/fork_parity.rs` pins this).
 fn explore_task_fork<Sub, S>(
     cfg: &CheckerConfig,
     inputs: &[u64],
@@ -1385,6 +1386,8 @@ where
     let mut stack: Vec<(WorkItem, Option<Rc<RunSnapshot<Sub>>>)> =
         stack.into_iter().map(|item| (item, None)).collect();
     let mut scratch = WalkScratch::default();
+    // The gate's evolving sleep set, refilled from each item's.
+    let mut gate_sleep = Vec::new();
     while let Some((item, snap)) = stack.pop() {
         if out.runs >= cfg.max_runs {
             out.complete = false;
@@ -1404,43 +1407,47 @@ where
             preemptions,
         } = item;
         let prefix_len = prefix.len();
+        gate_sleep.clear();
+        gate_sleep.extend_from_slice(&sleep);
         let mut gate = WalkGate {
             dedup: cfg.dedup,
             global,
             visited: &out.visited,
-            sleep: sleep.clone(),
-            closed_at: None,
+            sleep: &mut gate_sleep,
         };
         match snap {
             Some(snapshot) => session.resume_rc(snapshot, prefix, &mut gate),
             None => session.run_root(prefix, &mut gate),
         }
         .expect("checker-built system configurations are valid");
-        let verified_cut = gate.closed_at;
-        // Read the run's observables in place — no per-run export copies,
-        // and `crashed` doubles as the (task-constant) faulty set.
-        let decisions = session.decisions();
+        let cut = session.cut_at();
         out.runs += 1;
         progress_line(cfg, crashed, &out, stack.len());
 
-        out.worst_agreement = out
-            .worst_agreement
-            .max(distinct_correct_decisions_dense(decisions, crashed));
-        if let Some(message) =
-            violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
-        {
-            let log = session.log();
-            // The fork executor only ever runs deviation-free patterns
-            // (see [`explore_task`]), so the script is all-faithful and
-            // there are no Byzantine slots to record.
-            out.violation = Some(Counterexample {
-                crashed: crashed.to_vec(),
-                byzantine: Vec::new(),
-                choices: log.taken_indices(),
-                fired: log.fired_script(),
-                violation: message,
-            });
-            break;
+        if cut.is_none() {
+            // Read the run's observables in place — no per-run export
+            // copies, and `crashed` doubles as the (task-constant) faulty
+            // set.
+            let decisions = session.decisions();
+            out.worst_agreement = out
+                .worst_agreement
+                .max(distinct_correct_decisions_dense(decisions, crashed));
+            if let Some(message) =
+                violation_of_dense(spec, inputs, decisions, crashed, session.terminated())
+            {
+                let log = session.log();
+                // The fork executor only ever runs deviation-free patterns
+                // (see [`explore_task`]), so the script is all-faithful and
+                // there are no Byzantine slots to record.
+                out.violation = Some(Counterexample {
+                    crashed: crashed.to_vec(),
+                    byzantine: Vec::new(),
+                    choices: log.taken_indices(),
+                    fired: log.fired_script(),
+                    violation: message,
+                });
+                break;
+            }
         }
         let log = session.log();
         walk_run(
@@ -1450,7 +1457,7 @@ where
             sleep,
             &log,
             session.digests(),
-            verified_cut,
+            cut,
             global,
             &mut out,
             &mut |child: WorkItem| {

@@ -1,7 +1,8 @@
 //! Fork-mode == replay-mode bit-identity of the exploration engine.
 //!
 //! The forking executor's contract (`CheckerConfig::fork`): execution
-//! strategy is unobservable. For every cell, every thread count, and
+//! strategy is unobservable — including where a fork run stops at its
+//! first deduplicated point instead of running to completion. For every cell, every thread count, and
 //! every configuration knob, `ForkMode::Fork` and `ForkMode::Auto`
 //! produce verdicts, per-pattern counters, and counterexample bytes
 //! identical to the `ForkMode::Replay` oracle. This suite pins that on
@@ -94,6 +95,10 @@ fn message_passing_cells_match_replay() {
         (QuorumProtocol::FloodMin, 3, 1, 1), // violated
         (QuorumProtocol::FloodMin, 4, 3, 2), // holds, multi-crash plans
         (QuorumProtocol::FloodMin, 4, 2, 2), // violated
+        // Violated after 10,884 runs: tasks spill across waves, so a
+        // fork run can be cut by a cover whose subtree is still queued.
+        (QuorumProtocol::FloodMin, 4, 1, 1),
+        (QuorumProtocol::FloodMin, 4, 3, 3), // violated, t = n - 1
         (QuorumProtocol::ProtocolA, 3, 2, 1),
         (QuorumProtocol::ProtocolB, 3, 2, 1),
     ] {
@@ -168,25 +173,35 @@ fn random_configurations_match_replay() {
 
 #[test]
 fn counterexample_scripts_are_byte_identical() {
-    // The violated n=4 cell of the default certification: the replay
-    // scripts emitted under each mode must match byte for byte.
-    let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 4, 2, 2, ValidityCondition::RV1);
-    cfg.threads = 2;
+    // The violated n=4 cell of the default certification, plus the two
+    // violated n=4 cells where a fork run's cut could hide the first
+    // violation: the replay scripts emitted under each mode must match
+    // byte for byte.
     let dir = std::env::temp_dir().join(format!("kset_fork_parity_ce_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
-    let mut scripts = Vec::new();
-    for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
-        let mut cfg = cfg.clone();
-        cfg.fork = mode;
-        let verdict = check_cell(&cfg);
-        let ce = verdict.counterexample.as_ref().expect("cell is violated");
-        let path = dir.join(format!("{mode}.schedule"));
-        write_counterexample(&path, &cfg, ce).unwrap();
-        scripts.push(fs::read(&path).unwrap());
+    for (k, t) in [(2, 2), (1, 1), (3, 3)] {
+        let mut cfg = CheckerConfig::new(QuorumProtocol::FloodMin, 4, k, t, ValidityCondition::RV1);
+        cfg.threads = 2;
+        let mut scripts = Vec::new();
+        for mode in [ForkMode::Replay, ForkMode::Fork, ForkMode::Auto] {
+            let mut cfg = cfg.clone();
+            cfg.fork = mode;
+            let verdict = check_cell(&cfg);
+            let ce = verdict.counterexample.as_ref().expect("cell is violated");
+            let path = dir.join(format!("k{k}t{t}_{mode}.schedule"));
+            write_counterexample(&path, &cfg, ce).unwrap();
+            scripts.push(fs::read(&path).unwrap());
+        }
+        assert_eq!(
+            scripts[0], scripts[1],
+            "k={k} t={t}: fork script differs from replay"
+        );
+        assert_eq!(
+            scripts[0], scripts[2],
+            "k={k} t={t}: auto script differs from replay"
+        );
     }
-    assert_eq!(scripts[0], scripts[1], "fork script differs from replay");
-    assert_eq!(scripts[0], scripts[2], "auto script differs from replay");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -33,12 +33,14 @@
 //! the restored kernel reproduces the same event ids, digests and run
 //! statistics. The replay path stays in-tree as the cross-checked oracle.
 //!
-//! Snapshots are a pure optimization with two throttles. A caller-supplied
-//! [`ForkGate`] predicts — from the same visited-store coverage check the
-//! explorer's walk performs afterwards — whether the walk can still branch
-//! beyond a given point; once it cannot, the rest of the run takes no
-//! snapshots. And an optional byte budget bounds the live snapshot spine,
-//! degrading gracefully to replay-from-root when exceeded.
+//! A caller-supplied [`ForkGate`] also decides how far a run goes. At every
+//! beyond-prefix decision point it performs the same visited-store coverage
+//! check the explorer's walk performs afterwards; at the first covered
+//! point the walk would stop reading the run, so the session stops
+//! executing it there ([`ForkSession::cut_at`]) instead of firing the
+//! covered suffix. Snapshots are a pure optimization, bounded by an
+//! optional byte budget on the live snapshot spine that degrades
+//! gracefully to replay-from-root when exceeded.
 
 use std::cell::{Cell, RefCell};
 use std::mem::size_of;
@@ -55,24 +57,24 @@ use crate::outcome::Outcome;
 use crate::session::{self, DigestEngine, Payload, RunCore};
 use crate::substrate::SubstrateFork;
 
-/// How the explorer steers snapshot taking during a forked run.
+/// How the explorer steers a forked run: where it ends and which points
+/// take snapshots.
 ///
-/// The session consults the gate at each candidate decision point, in
+/// The session consults the gate at every beyond-prefix decision point, in
 /// execution order. The gate mirrors the explorer's own post-run walk: if
 /// the coverage check that walk performs at depth `d` would make it stop
-/// there, no branch at depth `≥ d` can ever be scheduled, so snapshots past
-/// that point are dead weight. Because the visited store only grows, a
-/// `false` answer at execution time is already final — the walk, running
-/// later against a superset store, stops at or before the same depth.
+/// there, no branch at depth `≥ d` can ever be scheduled and nothing the
+/// run does past `d` is ever read, so the run ends at `d`. Because the
+/// visited store only grows, a `false` answer at execution time is already
+/// final — the walk, running later against a superset store, stops at or
+/// before the same depth.
 pub trait ForkGate {
     /// Whether the explorer's walk can still branch at or beyond the
-    /// decision point at `depth` (fired events so far), whose
-    /// *predecessor* state digests to `fp`. A `false` return permanently
-    /// disables snapshotting for the rest of the run. `depth` lets the
-    /// gate remember *where* its coverage check fired, so the explorer
-    /// can skip re-proving the same (depth, fingerprint, sleep) cover in
-    /// its post-run walk.
-    fn branches_beyond(&mut self, depth: usize, fp: u64) -> bool;
+    /// upcoming decision point, whose *predecessor* state digests to `fp`.
+    /// A `false` return ends the run before that point's pick is made;
+    /// [`ForkSession::cut_at`] then reports its depth (events fired so
+    /// far).
+    fn branches_beyond(&mut self, fp: u64) -> bool;
 
     /// Observes one beyond-prefix fired event, so the gate can evolve any
     /// per-run state the walk's coverage check depends on (the explorer's
@@ -92,13 +94,14 @@ pub trait ForkGate {
     }
 }
 
-/// The trivial gate: always predicts a branch, never evolves. Snapshot
-/// taking is then throttled only by the byte budget.
+/// The trivial gate: always predicts a branch, never evolves. Every run
+/// then goes to completion and snapshot taking is throttled only by the
+/// byte budget.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AlwaysBranch;
 
 impl ForkGate for AlwaysBranch {
-    fn branches_beyond(&mut self, _depth: usize, _fp: u64) -> bool {
+    fn branches_beyond(&mut self, _fp: u64) -> bool {
         true
     }
 
@@ -211,7 +214,8 @@ impl<S: SubstrateFork> Drop for RunSnapshot<S> {
 /// A long-lived forking executor over one fault plan: executes schedule
 /// prefixes like `System::run_digested_in` does, but in place, taking
 /// [`RunSnapshot`]s at prospective branch points and resuming siblings
-/// from them instead of replaying the shared prefix.
+/// from them instead of replaying the shared prefix, and ending each run
+/// where its [`ForkGate`] proves the rest covered.
 ///
 /// Tracing and metrics are unconditionally disabled — the checker's hot
 /// path never enables them, and [`Kernel::snapshot`] requires it.
@@ -242,6 +246,8 @@ where
     pool: Rc<RefCell<Vec<SnapshotBufs<S>>>>,
     cur_prefix_len: usize,
     last_terminated: bool,
+    /// The depth at which the gate ended the most recent run, if it did.
+    cut_at: Option<usize>,
 }
 
 impl<S: SubstrateFork> std::fmt::Debug for ForkSession<S>
@@ -332,6 +338,7 @@ where
             pool,
             cur_prefix_len: 0,
             last_terminated: false,
+            cut_at: None,
         })
     }
 
@@ -379,7 +386,7 @@ where
         self.log.borrow_mut().truncate(depth);
         self.picker.borrow_mut().rewind(prefix, depth);
 
-        self.run_to_completion(gate)
+        self.run_until_cut(gate)
     }
 
     /// [`ForkSession::resume`], consuming the caller's snapshot handle.
@@ -424,7 +431,7 @@ where
         self.log.borrow_mut().truncate(depth);
         self.picker.borrow_mut().rewind(prefix, depth);
 
-        self.run_to_completion(gate)
+        self.run_until_cut(gate)
     }
 
     /// The snapshot taken at decision depth `depth` during the most recent
@@ -500,38 +507,41 @@ where
         self.last_terminated
     }
 
-    /// Read access to the session's choice log — after a run completes,
-    /// the full log of that run, shared prefix included. Release the
-    /// borrow before the next [`ForkSession::resume`].
+    /// The decision depth at which the gate ended the just-finished run
+    /// ([`ForkGate::branches_beyond`] returned `false` there), or `None`
+    /// when it ran to completion. A cut run's log holds exactly `depth`
+    /// points and its decision table is the state at the cut, not at the
+    /// end of any execution.
+    pub fn cut_at(&self) -> Option<usize> {
+        self.cut_at
+    }
+
+    /// Read access to the session's choice log — after a run ends, the
+    /// log of that run up to its end or cut, shared prefix included.
+    /// Release the borrow before the next [`ForkSession::resume`].
     pub fn log(&self) -> std::cell::Ref<'_, ChoiceLog> {
         self.log.borrow()
     }
 
-    fn run_to_completion(&mut self, gate: &mut impl ForkGate) -> Result<(), SimError> {
-        let mut gate_open = true;
+    fn run_until_cut(&mut self, gate: &mut impl ForkGate) -> Result<(), SimError> {
+        self.cut_at = None;
         loop {
             if self.kernel.state().all_correct_decided() {
                 break;
             }
             let depth = self.dig.digests.len();
-            // Branchiness (a scan of the small pending pool) is checked
-            // before the gate (hash probes into the explorer's visited
-            // stores), so non-branchy points — the majority — cost no
-            // probe. The trade: a covered depth is then only discovered at
-            // the next *branchy* point, so a run can waste snapshots at
-            // branchy points past the walk's dedup cut-off when the
-            // cut-off itself lands on a non-branchy depth.
-            if gate_open
-                && depth >= self.cur_prefix_len
-                && depth < self.max_branch_depth
-                && self.kernel.pending_len() > 1
-                && self.point_is_branchy(&*gate)
-            {
-                if depth > 0 && !gate.branches_beyond(depth, self.dig.digests[depth - 1]) {
-                    // The walk will stop at or before this depth; nothing
-                    // beyond it can branch, in this run or its suffix.
-                    gate_open = false;
-                } else {
+            if depth >= self.cur_prefix_len && self.kernel.pending_len() > 0 {
+                // The walk probes every beyond-prefix point it reads (every
+                // point a pick is made at) and stops at the first covered
+                // one, so the run stops there too: nothing past it is read.
+                if depth > 0 && !gate.branches_beyond(self.dig.digests[depth - 1]) {
+                    self.cut_at = Some(depth);
+                    break;
+                }
+                if depth < self.max_branch_depth
+                    && self.kernel.pending_len() > 1
+                    && self.point_is_branchy(&*gate)
+                {
                     self.take_snapshot(depth);
                 }
             }
@@ -628,5 +638,205 @@ where
         let per_event = size_of::<EventMeta>() + size_of::<Payload<S::Payload>>() + 16;
         let per_proc = size_of::<S::Process>() + size_of::<Option<S::Output>>() + 64;
         256 + self.kernel.pending_len() * per_event + self.core.n * per_proc
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::digest::Fnv64;
+    use crate::substrate::{CallInfo, Effect, Substrate, SubstrateDigest};
+
+    /// A minimal forkable substrate: every process broadcasts its value on
+    /// start and decides the minimum once it has heard from all others.
+    struct Flood;
+
+    #[derive(Clone)]
+    struct Proc {
+        min: u64,
+        heard: usize,
+    }
+
+    enum Act {
+        Send(ProcessId, u64),
+        Decide(u64),
+    }
+
+    impl Substrate for Flood {
+        type Payload = u64;
+        type Process = Proc;
+        type Action = Act;
+        type Output = u64;
+        type Shared = ();
+
+        fn new_shared(_n: usize) {}
+
+        fn on_start(p: &mut Proc, _: &(), info: CallInfo, out: &mut Vec<Act>) {
+            out.extend(
+                (0..info.n)
+                    .filter(|&q| q != info.me)
+                    .map(|q| Act::Send(q, p.min)),
+            );
+        }
+
+        fn on_step(_: &mut Proc, _: &(), _: CallInfo, _: &mut Vec<Act>) {}
+
+        fn on_payload(
+            p: &mut Proc,
+            v: u64,
+            _: Option<ProcessId>,
+            _: &(),
+            info: CallInfo,
+            out: &mut Vec<Act>,
+        ) {
+            p.min = p.min.min(v);
+            p.heard += 1;
+            if p.heard + 1 == info.n {
+                out.push(Act::Decide(p.min));
+            }
+        }
+
+        fn apply(
+            a: Act,
+            me: ProcessId,
+            _: usize,
+            _: &mut (),
+        ) -> Result<Effect<u64, u64>, SimError> {
+            Ok(match a {
+                Act::Send(target, payload) => Effect::Post {
+                    kind: EventKind::MessageDelivery,
+                    target,
+                    source: me,
+                    payload,
+                },
+                Act::Decide(v) => Effect::Decide(v),
+            })
+        }
+    }
+
+    impl SubstrateDigest for Flood {
+        fn digest_process(p: &Proc) -> u64 {
+            let mut h = Fnv64::new();
+            h.write_u64(p.min);
+            h.write_usize(p.heard);
+            h.finish()
+        }
+
+        fn digest_payload(v: &u64, h: &mut Fnv64) {
+            h.write_u8(2);
+            h.write_u64(*v);
+        }
+
+        fn digest_shared(_: &(), _: &mut Fnv64) {}
+    }
+
+    impl SubstrateFork for Flood {
+        fn fork_process(p: &Proc) -> Option<Proc> {
+            Some(p.clone())
+        }
+
+        fn fork_shared(_: &()) {}
+    }
+
+    /// A gate that reports the point at depth `cut` of a root run covered.
+    struct CutAt {
+        cut: usize,
+        fired: usize,
+    }
+
+    impl ForkGate for CutAt {
+        fn branches_beyond(&mut self, _fp: u64) -> bool {
+            self.fired != self.cut
+        }
+
+        fn on_fired(&mut self, _target: ProcessId) {
+            self.fired += 1;
+        }
+    }
+
+    const N: usize = 3;
+
+    fn session() -> ForkSession<Flood> {
+        let config = ForkConfig {
+            n: N,
+            por: true,
+            digest: DigestMode::Plain,
+            event_limit: None,
+            max_branch_depth: usize::MAX,
+            budget_bytes: None,
+        };
+        let procs = (0..N)
+            .map(|p| Proc {
+                min: 10 + p as u64,
+                heard: 0,
+            })
+            .collect();
+        ForkSession::new(config, FaultPlan::all_correct(N), procs).expect("forkable")
+    }
+
+    /// Everything a consumer can observe of a session's last run: taken
+    /// indices, fired script, digests and outcome.
+    type Observed = (
+        Vec<usize>,
+        Vec<(EventId, crate::Deviation)>,
+        Vec<u64>,
+        Outcome<u64>,
+    );
+
+    fn observe(s: &ForkSession<Flood>) -> Observed {
+        let log = s.log();
+        (
+            log.taken_indices(),
+            log.fired_script(),
+            s.digests().to_vec(),
+            s.export_outcome(),
+        )
+    }
+
+    #[test]
+    fn a_covered_point_ends_the_run_and_siblings_resume_identically() {
+        let mut full = session();
+        full.run_root(Vec::new(), &mut AlwaysBranch).unwrap();
+        assert_eq!(full.cut_at(), None);
+        assert!(full.terminated());
+        let events = full.log().len();
+        assert_eq!(events, N * N, "N starts and N(N-1) deliveries");
+
+        let cut = 5;
+        let mut cut_short = session();
+        cut_short.run_root(Vec::new(), &mut CutAt { cut, fired: 0 }).unwrap();
+        assert_eq!(cut_short.cut_at(), Some(cut));
+        assert_eq!(cut_short.log().len(), cut);
+        assert_eq!(cut_short.digests(), &full.digests()[..cut]);
+        assert!(!cut_short.terminated());
+
+        // The deepest branch point below the cut that both runs snapshotted,
+        // and a sibling prefix that branches there.
+        let depth = (0..cut)
+            .rev()
+            .find(|&d| full.snapshot_at(d).is_some() && full.log().point(d).options.len() > 1)
+            .expect("a branchy point below the cut");
+        let point_taken = full.log().taken(depth);
+        let mut prefix: Vec<usize> = (0..depth).map(|d| full.log().taken(d)).collect();
+        prefix.push(usize::from(point_taken == 0));
+
+        let snap = cut_short
+            .snapshot_at(depth)
+            .expect("snapshot below the cut");
+        cut_short
+            .resume_rc(snap, prefix.clone(), &mut AlwaysBranch)
+            .unwrap();
+        let snap = full
+            .snapshot_at(depth)
+            .expect("snapshot of the completed run");
+        full.resume_rc(snap, prefix.clone(), &mut AlwaysBranch)
+            .unwrap();
+        let mut fresh = session();
+        fresh.run_root(prefix, &mut AlwaysBranch).unwrap();
+
+        assert_eq!(cut_short.cut_at(), None);
+        assert!(cut_short.terminated());
+        assert_eq!(observe(&cut_short), observe(&full));
+        assert_eq!(observe(&cut_short), observe(&fresh));
     }
 }
